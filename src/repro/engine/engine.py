@@ -109,12 +109,12 @@ class SpatialEngine:
 
         Results are exactly equal — same ``row_ids`` in the same order,
         same ``blocks_scanned`` — to a loop of :meth:`execute` calls.
-        Beyond the batched planning of :meth:`explain_batch`, groups of
-        predicate-free, region-free incremental k-NN selects against the
-        same table run through
+        Beyond the batched planning of :meth:`explain_batch`, the
+        incremental k-NN selects against one table run as a group
+        through
         :func:`~repro.engine.physical.execute_incremental_knn_batch`,
-        which shares one MINDIST tableau and one per-block row gather
-        across the group instead of heap-browsing per query.
+        which shares one MINDIST tableau across the group; every query
+        still drains through the same kernel as the scalar operator.
 
         Guard failures raise before anything executes (a scalar loop
         raises the same exception, after executing the earlier queries).
@@ -123,20 +123,14 @@ class SpatialEngine:
         results: list[ExecutionResult | None] = [None] * len(plans)
         grouped: dict[str, list[int]] = {}
         for i, (operator, __) in enumerate(plans):
-            query = queries[i]
-            if (
-                isinstance(operator, IncrementalKnnOperator)
-                and isinstance(query, KnnSelectQuery)
-                and query.predicate is None
-                and query.region is None
-            ):
-                grouped.setdefault(query.table, []).append(i)
+            if isinstance(operator, IncrementalKnnOperator):
+                grouped.setdefault(queries[i].table, []).append(i)
             else:
                 results[i] = operator.execute()
         for name, indices in grouped.items():
             table = self.stats.table(name)
             # Execution reads the live index; re-gather on staleness even
-            # under the "raise" policy (the scalar browser never raises).
+            # under the "raise" policy (the scalar operator never raises).
             snapshot = self.stats.snapshot(name, on_stale="rebuild")
             outs = execute_incremental_knn_batch(
                 table, [queries[i] for i in indices], snapshot

@@ -49,7 +49,7 @@ class Predicate(abc.ABC):
         """The attribute columns the predicate reads."""
 
     def evaluate_row(self, table: SpatialTable, row_id: int) -> bool:
-        """Evaluate on a single row (the on-the-fly browsing path)."""
+        """Evaluate on a single row."""
         return bool(self.evaluate(table, np.array([row_id]))[0])
 
     def estimate_selectivity(

@@ -21,8 +21,6 @@ k-NN-Join operators:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +28,9 @@ import numpy as np
 
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
-from repro.geometry.kernels import tie_stable_argsort
+from repro.geometry import Point, Rect, mindist_points_rects
+from repro.geometry.kernels import rect_overlap_mask
+from repro.knn.drain import drain, scalar_thresholds, smallest
 from repro.knn.locality import locality_block_indices
 
 
@@ -60,15 +59,14 @@ class ExecutionResult:
         return len(self.join_pairs)
 
 
-def _qualifies(table: SpatialTable, query: KnnSelectQuery, row_id: int) -> bool:
-    """Whether one row passes the query's spatial and relational filters."""
-    if query.region is not None:
-        x, y = table.points[row_id]
-        if not query.region.contains_point(Point(float(x), float(y))):
-            return False
-    if query.predicate is not None:
-        return query.predicate.evaluate_row(table, row_id)
-    return True
+def _in_region(points: np.ndarray, region: Rect) -> np.ndarray:
+    """Mask of the points inside the closed ``region``."""
+    return (
+        (points[:, 0] >= region.x_min)
+        & (points[:, 0] <= region.x_max)
+        & (points[:, 1] >= region.y_min)
+        & (points[:, 1] <= region.y_max)
+    )
 
 
 class FilterThenKnnOperator:
@@ -88,31 +86,16 @@ class FilterThenKnnOperator:
     def execute(self) -> ExecutionResult:
         """Scan every block, filter, then answer the k-NN exactly."""
         table, query = self._table, self._query
-        scanned = 0
-        qualifying: list[np.ndarray] = []
-        for block in table.index.blocks:
-            scanned += 1
-            row_ids = table.block_row_ids(block.block_id)
-            mask = np.ones(row_ids.shape[0], dtype=bool)
-            if query.region is not None:
-                pts = table.points[row_ids]
-                mask &= (
-                    (pts[:, 0] >= query.region.x_min)
-                    & (pts[:, 0] <= query.region.x_max)
-                    & (pts[:, 1] >= query.region.y_min)
-                    & (pts[:, 1] <= query.region.y_max)
-                )
-            if query.predicate is not None:
-                mask &= query.predicate.evaluate(table, row_ids)
-            if mask.any():
-                qualifying.append(row_ids[mask])
-        if not qualifying:
+        scanned = len(table.index.blocks)
+        if table.n_rows == 0:
             return ExecutionResult(self.name, scanned, row_ids=np.empty(0, dtype=np.int64))
-        rows = np.concatenate(qualifying)
-        pts = table.points[rows]
-        dists = np.hypot(pts[:, 0] - query.query.x, pts[:, 1] - query.query.y)
-        order = np.argsort(dists, kind="stable")[: query.k]
-        return ExecutionResult(self.name, scanned, row_ids=rows[order])
+        view = table.points_view
+        entries = np.arange(view.rows.shape[0])
+        qualifies = _row_filter(table, query)
+        if qualifies is not None:
+            entries = entries[qualifies(entries)]
+        top = smallest(view.distances(entries, query.query), query.k)
+        return ExecutionResult(self.name, scanned, row_ids=view.rows[entries[top]])
 
 
 class IncrementalKnnOperator:
@@ -126,115 +109,7 @@ class IncrementalKnnOperator:
 
     def execute(self) -> ExecutionResult:
         """Browse neighbors in distance order until k rows qualify."""
-        table, query = self._table, self._query
-        browser = _RowDistanceBrowser(table, query.query)
-        found: list[int] = []
-        for row_id in browser:
-            if _qualifies(table, query, row_id):
-                found.append(row_id)
-                if len(found) == query.k:
-                    break
-        return ExecutionResult(
-            self.name,
-            browser.blocks_scanned,
-            row_ids=np.array(found, dtype=np.int64),
-        )
-
-
-def execute_incremental_knn_batch(
-    table: SpatialTable, queries: list[KnnSelectQuery], snapshot
-) -> list[ExecutionResult]:
-    """Execute unfiltered incremental k-NN selects as one vectorized pass.
-
-    Query by query this produces *exactly* what
-    ``IncrementalKnnOperator(table, q).execute()`` produces — the same
-    ``row_ids`` in the same order and the same ``blocks_scanned`` — but
-    the per-query heap browsing is replaced by batch work shared across
-    the group: one ``(m, n)`` MINDIST tableau over the snapshot's leaf
-    rects, one row-id/point gather per block, and a per-query prefix
-    drain over the MINDIST-sorted blocks.
-
-    Equivalence rests on two properties of the heap browser: leaf blocks
-    are scanned in MINDIST order (a child's MINDIST is never below its
-    parent's, so heap pops are monotone), and a block is scanned iff
-    fewer than ``k`` already-gathered rows lie *strictly* closer than
-    its MINDIST (the browser's ``tuples[0][0] < blocks[0][0]`` test).
-    Emitted rows are then the ``k`` smallest distances in (distance,
-    scan order) — a stable argsort over the drained prefix.  Stop
-    thresholds are recomputed with the scalar
-    :func:`~repro.geometry.mindist_point_rect` so they carry exactly the
-    floats the browser compares against.
-
-    Only applicable to predicate-free, region-free queries (on-the-fly
-    filtering re-introduces per-row control flow); the engine routes
-    everything else through the scalar operator.
-
-    Args:
-        table: The (shared) relation every query targets.
-        queries: The group's queries, in serving order.
-        snapshot: The table's current
-            :class:`~repro.index.snapshot.IndexSnapshot` (its rects are
-            the browser's leaf node rects).
-    """
-    name = IncrementalKnnOperator.name
-    n = snapshot.n_blocks
-    if n == 0:
-        return [
-            ExecutionResult(name, 0, row_ids=np.empty(0, dtype=np.int64))
-            for __ in queries
-        ]
-    pts = np.array([[q.query.x, q.query.y] for q in queries], dtype=float)
-    tableau = mindist_points_rects(pts, snapshot.rects)
-    # Tie-corrected so the scan sequence (and hence equal-distance row
-    # emission order) matches the canonical layout's regardless of the
-    # snapshot's physical row order.
-    order = tie_stable_argsort(tableau, getattr(snapshot, "tie_order", None))
-    counts = snapshot.counts
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    all_rows = np.concatenate(
-        [table.block_row_ids(int(b)) for b in snapshot.block_ids]
-    )
-    all_pts = table.points[all_rows]
-    rect_cache: dict[int, Rect] = {}
-    results: list[ExecutionResult] = []
-    for i, query in enumerate(queries):
-        k = query.k
-        qx, qy = query.query.x, query.query.y
-        sel = order[i]
-        cum = np.cumsum(counts[sel])
-        # The browser cannot stop before the prefix holds k rows.
-        j = min(int(np.searchsorted(cum, k, side="left")) + 1, n)
-        row_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        for b in sel[:j]:
-            s, e = starts[b], starts[b + 1]
-            row_parts.append(all_rows[s:e])
-            dist_parts.append(
-                np.hypot(all_pts[s:e, 0] - qx, all_pts[s:e, 1] - qy)
-            )
-        while j < n:
-            b_next = int(sel[j])
-            rect = rect_cache.get(b_next)
-            if rect is None:
-                rect = rect_cache[b_next] = Rect(*snapshot.rects[b_next])
-            threshold = mindist_point_rect(query.query, rect)
-            below = sum(
-                int(np.count_nonzero(part < threshold)) for part in dist_parts
-            )
-            if below >= k:
-                break
-            s, e = starts[b_next], starts[b_next + 1]
-            row_parts.append(all_rows[s:e])
-            dist_parts.append(
-                np.hypot(all_pts[s:e, 0] - qx, all_pts[s:e, 1] - qy)
-            )
-            j += 1
-        rows = np.concatenate(row_parts)
-        dists = np.concatenate(dist_parts)
-        take = np.argsort(dists, kind="stable")[:k]
-        results.append(ExecutionResult(name, j, row_ids=rows[take]))
-    return results
+        return _browse(self._table, [self._query], None, prune=False)[0]
 
 
 class RegionPrunedKnnOperator:
@@ -259,83 +134,76 @@ class RegionPrunedKnnOperator:
 
     def execute(self) -> ExecutionResult:
         """Browse with region pruning until k rows qualify."""
-        table, query = self._table, self._query
-        browser = _RowDistanceBrowser(table, query.query, region=query.region)
-        found: list[int] = []
-        for row_id in browser:
-            if _qualifies(table, query, row_id):
-                found.append(row_id)
-                if len(found) == query.k:
-                    break
-        return ExecutionResult(
-            self.name,
-            browser.blocks_scanned,
-            row_ids=np.array(found, dtype=np.int64),
-        )
+        return _browse(self._table, [self._query], None, prune=True)[0]
 
 
-class _RowDistanceBrowser:
-    """Distance browsing over a table, yielding *row ids* in order.
+def execute_incremental_knn_batch(
+    table: SpatialTable, queries: list[KnnSelectQuery], snapshot
+) -> list[ExecutionResult]:
+    """Execute incremental k-NN selects as one group sharing one tableau.
 
-    Identical to :class:`repro.knn.DistanceBrowser` except tuples carry
-    row ids so attribute predicates can be evaluated per result, and an
-    optional region prunes non-overlapping subtrees.
+    Query by query this is ``IncrementalKnnOperator(table, q).execute()``
+    — the same drain — so ``row_ids`` (in order) and ``blocks_scanned``
+    are identical.  ``snapshot`` is the table's current
+    :class:`~repro.index.snapshot.IndexSnapshot`, in any layout.
     """
+    return _browse(table, queries, snapshot, prune=False)
 
-    def __init__(self, table: SpatialTable, query: Point, region=None) -> None:
-        self._region = region
-        self._table = table
-        self._query = query
-        self._counter = itertools.count()
-        self._blocks: list[tuple[float, int, object]] = []
-        self._tuples: list[tuple[float, int, int]] = []
-        self.blocks_scanned = 0
-        root = table.index.root
-        heapq.heappush(
-            self._blocks, (mindist_point_rect(query, root.rect), next(self._counter), root)
+
+def _browse(
+    table: SpatialTable, queries: list[KnnSelectQuery], snapshot, *, prune: bool
+) -> list[ExecutionResult]:
+    """Distance-browse k-NN selects through the block drain.
+
+    Blocks are ordered by vector MINDIST (ties by block id on any
+    snapshot layout), and each block's stop test compares against the
+    scalar :func:`~repro.geometry.mindist_point_rect` float of its index
+    rect — the float the heap browser compares against.  Predicates and
+    regions filter rows as they are gathered; ``prune`` also skips every
+    block that misses the region (QEP iii).  ``snapshot=None`` reads the
+    table's own canonical one.
+    """
+    name = RegionPrunedKnnOperator.name if prune else IncrementalKnnOperator.name
+    if table.n_rows == 0:
+        return [ExecutionResult(name, 0, row_ids=np.empty(0, dtype=np.int64)) for __ in queries]
+    if snapshot is None:
+        snapshot = table.count_index.snapshot
+    view = table.points_view
+    pts = np.array([[q.query.x, q.query.y] for q in queries], dtype=float)
+    results: list[ExecutionResult] = []
+    for query, keys in zip(queries, mindist_points_rects(pts, snapshot.rects)):
+        point = query.query
+        entries, scanned = drain(
+            view,
+            keys,
+            point,
+            query.k,
+            lambda rows, point=point: scalar_thresholds(point, snapshot.rects[rows]),
+            slots=snapshot.block_ids,
+            tie_order=snapshot.tie_order,
+            block_mask=rect_overlap_mask(query.region, snapshot.rects) if prune else None,
+            row_filter=_row_filter(table, query),
         )
+        results.append(ExecutionResult(name, scanned, row_ids=view.rows[entries]))
+    return results
 
-    def __iter__(self):
-        return self
 
-    def __next__(self) -> int:
-        while True:
-            if self._tuples and (
-                not self._blocks or self._tuples[0][0] < self._blocks[0][0]
-            ):
-                return heapq.heappop(self._tuples)[2]
-            if not self._blocks:
-                raise StopIteration
-            __, __, node = heapq.heappop(self._blocks)
-            if node.is_leaf:
-                block = node.block
-                if block is None:
-                    continue
-                if self._region is not None and not block.rect.intersects(
-                    self._region
-                ):
-                    continue
-                self.blocks_scanned += 1
-                row_ids = self._table.block_row_ids(block.block_id)
-                dists = block.distances_from(self._query)
-                for dist, row_id in zip(dists, row_ids):
-                    heapq.heappush(
-                        self._tuples, (float(dist), next(self._counter), int(row_id))
-                    )
-            else:
-                for child in node.children:
-                    if self._region is not None and not child.rect.intersects(
-                        self._region
-                    ):
-                        continue  # nothing qualifying can live there
-                    heapq.heappush(
-                        self._blocks,
-                        (
-                            mindist_point_rect(self._query, child.rect),
-                            next(self._counter),
-                            child,
-                        ),
-                    )
+def _row_filter(table: SpatialTable, query: KnnSelectQuery):
+    """The query's row-qualification mask over drained view entries."""
+    region, predicate = query.region, query.predicate
+    if region is None and predicate is None:
+        return None
+    view = table.points_view
+
+    def qualifies(entries: np.ndarray) -> np.ndarray:
+        mask = np.ones(entries.shape[0], dtype=bool)
+        if region is not None:
+            mask &= _in_region(view.points[entries], region)
+        if predicate is not None:
+            mask &= predicate.evaluate(table, view.rows[entries])
+        return mask
+
+    return qualifies
 
 
 class IndexRangeScanOperator:
@@ -360,13 +228,7 @@ class IndexRangeScanOperator:
         for block in table.index.range_query_blocks(query.region):
             scanned += 1
             row_ids = table.block_row_ids(block.block_id)
-            pts = table.points[row_ids]
-            mask = (
-                (pts[:, 0] >= query.region.x_min)
-                & (pts[:, 0] <= query.region.x_max)
-                & (pts[:, 1] >= query.region.y_min)
-                & (pts[:, 1] <= query.region.y_max)
-            )
+            mask = _in_region(table.points[row_ids], query.region)
             if query.predicate is not None:
                 mask &= query.predicate.evaluate(table, row_ids)
             if mask.any():

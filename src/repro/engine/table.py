@@ -10,6 +10,7 @@ map" from (block, offset) to row id.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from repro.index.base import validate_points
 from repro.index.count_index import CountIndex
 from repro.index.quadtree import Quadtree
+from repro.knn.drain import BlockPointsView
 
 
 class SpatialTable:
@@ -98,6 +100,23 @@ class SpatialTable:
         if self._count_index is None:
             raise ValueError(f"table {self.name!r} is empty")
         return self._count_index
+
+    @cached_property
+    def points_view(self) -> BlockPointsView:
+        """Every block's rows and points, in block-id order (built once).
+
+        The columnar layout the k-NN block drain reads: block ``b``'s
+        run holds ``block_row_ids(b)`` and those rows' points.
+        """
+        blocks = self._index.blocks
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum([block.count for block in blocks], out=offsets[1:])
+        rows = np.concatenate(
+            [self._index.row_ids_for(block.block_id) for block in blocks]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        # Through the transpose: no (n, 2) intermediate copy.
+        return BlockPointsView(self._points.T[:, rows].T, offsets, rows)
 
     # ------------------------------------------------------------------
     # Row access

@@ -12,19 +12,15 @@ The paper models the cost of this algorithm as the number of (non-empty
 leaf) blocks scanned.  Two cost paths are provided:
 
 * :class:`DistanceBrowser` / :func:`knn_select` — the faithful heap-
-  based incremental algorithm with a scan counter; this is what a query
-  processor would run.  With a precomputed
-  :class:`~repro.index.snapshot.IndexSnapshot` the browser seeds its
-  frontier *flat* — one vectorized MINDIST kernel over all leaf blocks
-  replaces the hierarchical descent.  The scan cost is identical either
-  way: internal nodes cost nothing to pop, and the strict ``<`` return
-  test means every block at MINDIST below the next returned distance
-  must be scanned regardless of tie order.
-* :func:`select_cost_profile` — a vectorized equivalent that returns the
-  whole cost-vs-k staircase in one pass.  Because internal nodes cost
-  nothing to pop, hierarchical browsing scans leaf blocks in plain
-  MINDIST order, so the profile can be computed over the flat block
-  list; the test suite cross-checks both paths against each other.
+  based incremental algorithm with a scan counter, kept as the
+  reference oracle (see its docstring).  Query execution runs the
+  block drain of :mod:`repro.knn.drain` instead.
+* :func:`select_cost_profile` — the whole cost-vs-k staircase in one
+  pass, built from the drain kernel's MINDIST windows and one-pass
+  stop-rule counting.  Because internal nodes cost nothing to pop,
+  hierarchical browsing scans leaf blocks in plain MINDIST order, so
+  the profile can be computed over the flat block list; the test suite
+  cross-checks both paths against each other.
 """
 
 from __future__ import annotations
@@ -35,14 +31,24 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.geometry import Point, Rect, mindist_point_rect, mindist_points_rects
-from repro.geometry.kernels import mindist_argsort, mindist_rects, tie_stable_argsort
+from repro.geometry import Point, mindist_point_rect
+from repro.geometry.kernels import mindist_argsort, mindist_rects
 from repro.index.base import Block, SpatialIndex
 from repro.index.snapshot import IndexSnapshot, as_snapshot
+from repro.knn.drain import count_below, mindist_windows
 
 
 class DistanceBrowser:
     """Incremental nearest-neighbor browser over a hierarchical index.
+
+    Kept as the reference oracle: the test suite checks every exact
+    k-NN path (and the drain kernel of :mod:`repro.knn.drain`) against
+    its results and scan counts, and the per-point-callable QEP of
+    :mod:`repro.optimizer.plans`, which cannot be vectorised, runs on
+    it.  No production k-NN operator uses it.  Equal-MINDIST blocks
+    pop in push order here, so rows at equal distances may come out in
+    a different order than the drain's canonical tie order; distances
+    and scan counts are identical.
 
     Usage::
 
@@ -248,70 +254,34 @@ def select_cost_profile(
     if mindists_all is None:
         mindists_all = mindist_rects((query.x, query.y), snap.rects)
 
-    # Only the blocks nearest to the query matter, but how many is not
-    # known in advance (low-density areas can force scanning far beyond
-    # the first max_k points).  Select a candidate set with a partial
-    # partition — far cheaper than a full argsort of every block for
-    # every catalog anchor — and grow it geometrically until the
-    # profile reaches max_k.
+    # How many of the nearest blocks matter is not known in advance
+    # (sparse areas can force long scans): the drain kernel's windows
+    # grow geometrically from the blocks an average density needs until
+    # the profile reaches max_k.  The profile is tie-invariant —
+    # equal-MINDIST blocks share every threshold they could straddle —
+    # so windows keep physical tie order.
+    gather = getattr(blocks, "gathered_distances", None)
     avg_count = max(1.0, snap.total_count / n_blocks)
-    candidates = min(n_blocks, int(max_k / avg_count) + 8)
-    while True:
-        if candidates < n_blocks:
-            nearest = np.argpartition(mindists_all, candidates)[: candidates + 1]
-            nearest = nearest[np.argsort(mindists_all[nearest], kind="stable")]
-            order = nearest[:candidates]
-            # MINDIST of the nearest block *outside* the candidate set:
-            # the threshold that applies after scanning the last one.
-            beyond = float(mindists_all[nearest[candidates]])
-        else:
-            order = np.argsort(mindists_all, kind="stable")
-            beyond = np.inf
-        mindists = mindists_all[order]
-        prefix = order.shape[0]
-
-        # One concatenated sort answers every per-step threshold: every
-        # point in a block beyond position i lies at distance >= that
-        # block's MINDIST >= the step-i threshold, so counting over the
-        # whole prefix never overcounts an earlier step.  A columnar
-        # block container (repro.perf.BlockPointsView) may answer the
-        # gather in one batched call; the values are elementwise
-        # identical to the per-block path.
-        # ``order`` indexes snapshot *rows*; the summary's ``block_ids``
-        # map rows to positions in ``blocks``, so a physically reordered
-        # snapshot (Hilbert layout) still reads the right blocks.  The
-        # profile itself is tie-invariant — equal-MINDIST blocks share
-        # every threshold they could straddle — so no tie correction of
-        # the row order is needed for layout parity.
-        block_pos = snap.block_ids[order]
-        gather = getattr(blocks, "gathered_distances", None)
+    for window, after in mindist_windows(mindists_all, int(max_k / avg_count) + 8):
+        # ``block_ids`` map snapshot rows to positions in ``blocks``, so
+        # a physically reordered snapshot still reads the right blocks.
+        block_pos = snap.block_ids[window]
         if gather is not None:
             dists = gather(block_pos, query)
         else:
             dists = np.concatenate(
                 [blocks[int(i)].distances_from(query) for i in block_pos]
             )
-            dists.sort(kind="stable")
-        # Threshold after scanning block i is the next block's MINDIST.
-        thresholds = np.empty(prefix, dtype=float)
-        thresholds[: prefix - 1] = mindists[1:prefix]
-        thresholds[prefix - 1] = beyond
-        if gather is not None:
-            # Counting without the O(n log n) distance sort: thresholds
-            # are ascending (block MINDISTs in scan order), so binning
-            # each distance into its first exceeding threshold and
-            # prefix-summing the bin sizes yields exactly
-            # #{dist < thresholds[i]} — the same integers the sorted
-            # path produces via binary search.
-            first_above = np.searchsorted(thresholds, dists, side="right")
-            retrievable = np.cumsum(
-                np.bincount(first_above, minlength=prefix + 1)[:prefix]
-            )
-        else:
-            retrievable = np.searchsorted(dists, thresholds, side="left")
-        if retrievable[-1] >= max_k or candidates >= n_blocks:
+        # The threshold after scanning block i is the next block's
+        # MINDIST; no point of a later block lies below it, so counting
+        # over the whole window never overcounts an earlier step.
+        thresholds = np.empty(window.shape[0], dtype=float)
+        thresholds[:-1] = mindists_all[window[1:]]
+        thresholds[-1] = np.inf if after is None else mindists_all[after]
+        retrievable = count_below(dists, thresholds)
+        if retrievable[-1] >= max_k:
             break
-        candidates = min(n_blocks, candidates * 2)
+    prefix = window.shape[0]
 
     profile: list[tuple[int, int, int]] = []
     k_reached = 0  # points already retrievable at the previous cost
@@ -370,112 +340,3 @@ def brute_force_knn(points: np.ndarray, query: Point, k: int) -> np.ndarray:
     idx = idx[np.argsort(dists[idx], kind="stable")]
     return pts[idx]
 
-
-class SnapshotBlockStream:
-    """Resumable MINDIST-ordered block stream over one snapshot.
-
-    The per-shard primitive of the serving tier's cross-shard k-NN
-    merge: a shard worker walks its sub-snapshot's blocks in the exact
-    (MINDIST, ascending block id) order the global distance browser
-    would visit them, but *incrementally* — the coordinator pulls a
-    prefix, merges it against the other shards' streams, and resumes
-    from a plain integer cursor only if this shard's :meth:`bound`
-    is still below the running k-th distance.  The stream is stateless
-    across pulls (the cursor is the whole state), so a respawned worker
-    incarnation resumes a stream mid-query without any handshake.
-
-    Entry floats are bit-identical to the batched executor's: block
-    order comes from the same :func:`~repro.geometry.mindist_points_rects`
-    kernel + stable tie sort, and each block's stop-test ``threshold``
-    is recomputed with the scalar
-    :func:`~repro.geometry.mindist_point_rect` — exactly the float the
-    heap browser compares gathered distances against.
-
-    Args:
-        snapshot: The (sub-)snapshot to stream; its ``block_ids`` are
-            reported back with every entry so a cross-shard consumer
-            can merge on the global ``(MINDIST, block id)`` key.
-        query: The focal point.
-    """
-
-    def __init__(self, snapshot: IndexSnapshot, query: Point) -> None:
-        self._snapshot = snapshot
-        self._query = query
-        n = snapshot.n_blocks
-        if n == 0:
-            self._order = np.empty(0, dtype=np.int64)
-            self._mindists = np.empty(0, dtype=float)
-        else:
-            tableau = mindist_points_rects(
-                np.array([[query.x, query.y]], dtype=float), snapshot.rects
-            )
-            order = tie_stable_argsort(tableau, snapshot.tie_order)[0]
-            self._order = order
-            self._mindists = tableau[0][order]
-
-    @property
-    def n_blocks(self) -> int:
-        """Total blocks the stream can ever emit."""
-        return int(self._order.shape[0])
-
-    def entry(self, rank: int) -> tuple[float, int, float, int]:
-        """The stream's ``rank``-th block as ``(mindist, block_id, threshold, row)``.
-
-        ``row`` is the block's physical row in the snapshot (for
-        pairing with per-block row/point arrays); ``threshold`` is the
-        scalar-kernel MINDIST used by the browser's stop test.
-        """
-        row = int(self._order[rank])
-        rect = Rect(*self._snapshot.rects[row])
-        return (
-            float(self._mindists[rank]),
-            int(self._snapshot.block_ids[row]),
-            mindist_point_rect(self._query, rect),
-            row,
-        )
-
-    def bound(self, cursor: int) -> tuple[float, int, float] | None:
-        """Lower bound of everything not yet emitted, or ``None`` if spent.
-
-        The next block's ``(mindist, block_id, threshold)``: no
-        unemitted row of this stream can lie closer than ``threshold``,
-        and no unemitted block sorts before ``(mindist, block_id)`` in
-        the global scan order.
-        """
-        if cursor >= self.n_blocks:
-            return None
-        mindist, block_id, threshold, __ = self.entry(cursor)
-        return (mindist, block_id, threshold)
-
-    def take(
-        self,
-        cursor: int,
-        *,
-        min_points: int = 0,
-        min_mindist: float = -np.inf,
-        counts: np.ndarray | None = None,
-    ) -> tuple[list[tuple[float, int, float, int]], int]:
-        """Emit blocks from ``cursor`` until both stop conditions hold.
-
-        Emission continues while the emitted blocks hold fewer than
-        ``min_points`` rows *or* the next block's MINDIST is strictly
-        below ``min_mindist`` — the two pull shapes of the merge
-        protocol (gather-a-k-prefix, and drain-below-a-dead-shard's
-        bound) — and stops at exhaustion regardless.
-
-        Returns:
-            ``(entries, new_cursor)`` with entries as in :meth:`entry`.
-        """
-        if counts is None:
-            counts = self._snapshot.counts
-        entries: list[tuple[float, int, float, int]] = []
-        gathered = 0
-        n = self.n_blocks
-        while cursor < n:
-            if gathered >= min_points and self._mindists[cursor] >= min_mindist:
-                break
-            entry = self.entry(cursor)
-            entries.append(entry)
-            gathered += int(counts[entry[3]])
-            cursor += 1
-        return entries, cursor

@@ -7,13 +7,13 @@ every outer block's locality profile
 the others.  This module provides the fan-out plumbing shared by the
 Staircase, Catalog-Merge, and Virtual-Grid estimators:
 
-* :class:`BlockPointsView` — a columnar, picklable stand-in for a block
-  list that answers the distance-gather step of
-  ``select_cost_profile`` with one fancy-index + one ``np.hypot`` call
-  instead of one tiny ``distances_from`` call per block.  The gathered
-  values are elementwise identical to the per-block path, so profiles
-  (and therefore catalogs) stay bit-for-bit equal to the serial seed
-  build.
+* :class:`~repro.knn.drain.BlockPointsView` (re-exported here) — the
+  columnar, picklable block layout that answers the distance-gather
+  step of ``select_cost_profile`` with one fancy-index + one
+  ``np.hypot`` call instead of one tiny ``distances_from`` call per
+  block.  The gathered values are elementwise identical to the
+  per-block path, so profiles (and therefore catalogs) stay
+  bit-for-bit equal to the serial seed build.
 * :func:`select_cost_profiles` / :func:`locality_size_profiles` —
   ordered many-anchor fan-out with an optional
   :class:`~concurrent.futures.ProcessPoolExecutor` path
@@ -40,6 +40,7 @@ from repro.geometry.backends import active_backend, set_backend
 from repro.geometry.kernels import as_anchor, mindist_rects_batch
 from repro.index.snapshot import IndexSnapshot, as_snapshot
 from repro.knn.distance_browsing import select_cost_profile
+from repro.knn.drain import BlockPointsView
 from repro.knn.locality import locality_size_profile
 
 Profile = list[tuple[int, int, int]]
@@ -68,67 +69,6 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
-
-
-class BlockPointsView:
-    """Columnar view of a block list's points, for batched gathers.
-
-    Stores every block's points in one ``(total, 2)`` array plus an
-    offsets array, so :meth:`gathered_distances` can compute the
-    distances of an arbitrary block subsequence with a single
-    ``np.hypot`` over the gathered coordinates.  Because ``np.hypot``
-    is elementwise, the result is bitwise identical to concatenating
-    per-block ``Block.distances_from`` outputs in the same order.
-
-    The two arrays are plain ndarrays, so the view ships to worker
-    processes as an ``initargs`` payload without custom pickling.
-    """
-
-    __slots__ = ("points", "offsets", "_xs", "_ys")
-
-    def __init__(self, points: np.ndarray, offsets: np.ndarray) -> None:
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        # Contiguous per-coordinate copies: two 1-D gathers beat one
-        # strided 2-D row gather in the hot loop.
-        self._xs = np.ascontiguousarray(self.points[:, 0])
-        self._ys = np.ascontiguousarray(self.points[:, 1])
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "BlockPointsView":
-        """Flatten a block sequence into the columnar layout."""
-        arrays = [np.asarray(b.points, dtype=float).reshape(-1, 2) for b in blocks]
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        if arrays:
-            np.cumsum([a.shape[0] for a in arrays], out=offsets[1:])
-            points = np.concatenate(arrays)
-        else:
-            points = np.empty((0, 2), dtype=float)
-        return cls(points, offsets)
-
-    def gathered_distances(self, order: np.ndarray, query: Point) -> np.ndarray:
-        """Distances of the points of blocks ``order`` (in that order).
-
-        Equivalent to
-        ``np.concatenate([blocks[i].distances_from(query) for i in order])``
-        but with one gather and one ``np.hypot`` call.
-        """
-        order = np.asarray(order, dtype=np.int64)
-        if order.shape[0] == 0:
-            return np.empty(0, dtype=float)
-        starts = self.offsets[order]
-        lengths = self.offsets[order + 1] - starts
-        total = int(lengths.sum())
-        # Vectorized concatenation of ranges [starts[j], starts[j]+lengths[j]):
-        # each output slot holds its segment's start minus the segment's
-        # output offset, and a global arange supplies the within-segment
-        # progression.
-        out_offsets = np.zeros(order.shape[0], dtype=np.int64)
-        np.cumsum(lengths[:-1], out=out_offsets[1:])
-        gather = np.repeat(starts - out_offsets, lengths) + np.arange(
-            total, dtype=np.int64
-        )
-        return np.hypot(self._xs[gather] - query.x, self._ys[gather] - query.y)
 
 
 def _chunked(items: list, n_chunks: int) -> list[list]:

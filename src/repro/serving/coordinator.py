@@ -69,12 +69,14 @@ from repro.geometry import Point, Rect, mindist_point_rect
 from repro.geometry.backends import active_backend
 from repro.geometry.hilbert import hilbert_order
 from repro.index.snapshot import as_snapshot
+from repro.knn.drain import segments
 from repro.optimizer.selection import PlanningContext
 from repro.serving.merge import (
     PARTIAL_PLAN,
     QueryMerge,
     merge_filter_topk,
     merge_select_estimates,
+    query_stream,
 )
 from repro.serving.worker import (
     SHARD_TABLE,
@@ -396,9 +398,10 @@ class ShardedServingTier:
         """
         canonical = snapshot.canonical()
         members, hulls = partition_blocks(canonical, self.plan)
+        # A row's position in the global block-order concatenation is
+        # the unsharded full scan's tie-break key (``gpos``).
         counts = canonical.counts.astype(np.int64)
-        g_starts = np.zeros(canonical.n_blocks + 1, dtype=np.int64)
-        np.cumsum(counts, out=g_starts[1:])
+        g_starts = np.cumsum(counts) - counts
         # The worker-side statistics manager runs over the shard's own
         # points; a layout permutation sized for the full relation
         # would be wrong there.
@@ -412,33 +415,19 @@ class ShardedServingTier:
         for sid in range(self.plan.n_shards):
             rows_m = members[sid]
             if rows_m.size:
-                rows = np.concatenate(
-                    [
-                        np.asarray(
-                            self.table.block_row_ids(int(canonical.block_ids[m])),
-                            dtype=np.int64,
-                        )
-                        for m in rows_m
-                    ]
-                )
-                gpos = np.concatenate(
-                    [
-                        np.arange(g_starts[m], g_starts[m + 1], dtype=np.int64)
-                        for m in rows_m
-                    ]
-                )
                 self._hull_bounds[sid] = (
                     hulls[sid],
                     int(canonical.block_ids[rows_m[0]]),
                 )
-            else:
-                rows = np.empty(0, dtype=np.int64)
-                gpos = np.empty(0, dtype=np.int64)
+            rows = np.concatenate(
+                [self.table.block_row_ids(int(b)) for b in canonical.block_ids[rows_m]]
+                or [np.empty(0, dtype=np.int64)]
+            )
             payload = {
                 "snapshot": canonical.extract(rows_m),
                 "rows": rows,
-                "points": np.ascontiguousarray(self.table.points[rows]),
-                "gpos": gpos,
+                "points": self.table.points[rows],
+                "gpos": segments(g_starts[rows_m], counts[rows_m]),
                 "capacity": capacity,
                 "manager_kwargs": data_kwargs,
             }
@@ -908,7 +897,7 @@ class ShardedServingTier:
             for sid in sorted(dead):
                 state = answers.get(sid)
                 if state is not None:
-                    entries, __, bound = state["streams"][i]
+                    entries, __, bound = query_stream(state["streams"], i)
                     if entries:
                         shard_min = float(entries[0][0])
                     elif bound is not None:
@@ -973,8 +962,7 @@ class ShardedServingTier:
             for sid in self.supervisor.shard_ids:
                 state = answers.get(sid)
                 if state is not None:
-                    entries, cursor, bound = state["streams"][i]
-                    merge.add_stream(sid, entries, cursor, bound)
+                    merge.add_stream(sid, *query_stream(state["streams"], i))
                     if sid in dead:  # answered open, died since
                         merge.mark_dead(sid)
                 else:
@@ -1014,8 +1002,7 @@ class ShardedServingTier:
                     streams = resume_answers[sid]["streams"]
                     for j, (i, __, ___, ____) in enumerate(requests):
                         if i in pending:
-                            entries, cursor, bound = streams[j]
-                            pending[i].streams[sid].extend(entries, cursor, bound)
+                            pending[i].streams[sid].extend(*query_stream(streams, j))
             # A shard lost this iteration becomes a permanent coverage
             # gap for every still-running merge (its last known bound
             # stays as the gap bound).

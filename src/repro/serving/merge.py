@@ -7,28 +7,31 @@ query.  The coordinator reconstructs the unsharded engine's answer by
 replaying the distance browser's block admission over per-shard
 MINDIST-ordered streams:
 
-* each shard returns its blocks in ``(MINDIST, global block id)``
-  order — :class:`~repro.knn.distance_browsing.SnapshotBlockStream`
+* each shard serves its blocks in ``(MINDIST, global block id)``
+  order from a plain integer cursor — :func:`~repro.knn.drain.take`
   over the canonical sub-snapshot, whose tie breaks are the exact
   slice of the global tie-break contract that belongs to the shard —
-  together with a **lower bound**: the next unfetched block's key,
-  below which the shard can contribute nothing further;
-* the coordinator (:class:`QueryMerge`) admits whichever stream's head
-  sorts first on the global key, reproducing the global scan sequence
-  bit-for-bit, and applies the browser's stop rule — once ``k``
-  gathered rows lie strictly below the next block's scalar-kernel
-  threshold, no unscanned block can contribute — so it stops *pulling*
-  from a shard the moment that shard's bound exceeds the running k-th
-  distance;
-* a starved stream (fetched entries exhausted, bound still
+  in one columnar reply per round (keys, block ids, thresholds, rows,
+  distances) together with a **lower bound**: the next unfetched
+  block's key, below which the shard can contribute nothing further;
+* the coordinator (:class:`QueryMerge`) merges the fetched runs on the
+  global key up to the smallest bound — the global scan sequence,
+  bit-for-bit — and applies the drain kernel's stop rule
+  (:func:`~repro.knn.drain.first_stop`) over it in one pass: once
+  ``k`` gathered rows lie strictly below the next block's
+  scalar-kernel threshold, no unscanned block can contribute, so it
+  stops *pulling* from a shard the moment that shard's bound exceeds
+  the running k-th distance;
+* a starved stream (fetched blocks exhausted, bound still
   admissible) pauses the replay; the coordinator batches the pause
   points of all queries into one resume round per shard.
 
 The admitted block count equals the unsharded
 :func:`~repro.engine.physical.execute_incremental_knn_batch`'s
-``blocks_scanned`` exactly, and the emitted rows — a stable argsort
-over the admitted blocks' distances — are bit-identical, because
-block order, distances, and stop thresholds all carry the same floats.
+``blocks_scanned`` exactly, and the emitted rows — the k smallest
+distances over the admitted blocks, ties in scan order — are
+bit-identical, because block order, distances, and stop thresholds all
+carry the same floats.
 
 **Coverage gaps.**  A dead shard is not (as in replica mode) merely a
 routing problem: its rows are unreachable.  Each dead shard
@@ -63,8 +66,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.knn.drain import first_stop, smallest
+
 #: Note marker for partial-coverage degraded answers.
 PARTIAL_PLAN = "partial-coverage"
+
+_NO_DISTS = np.empty(0, dtype=float)
 
 #: Select-estimator tiers from most to least trusted; the merged
 #: explanation reports the *worst* tier any shard answered with.
@@ -95,9 +102,8 @@ class ShardStream:
 
     Attributes:
         shard_id: The shard.
-        entries: Fetched-but-unadmitted-or-admitted blocks, in stream
-            order: ``(mindist, global block id, threshold, row_ids,
-            dists)``.
+        entries: Fetched blocks in stream order, one ``(mindist, global
+            block id, threshold, row_ids, dists)`` tuple each.
         pos: Next unadmitted entry index.
         cursor: Worker-side stream rank already fetched (the resume
             token).
@@ -119,6 +125,24 @@ class ShardStream:
         self.entries.extend(entries)
         self.cursor = int(cursor)
         self.bound = bound
+
+
+def query_stream(streams: dict, i: int) -> tuple[list, int, tuple | None]:
+    """Query ``i``'s ``(entries, cursor, bound)`` from a shard's batch reply."""
+    lo, hi = streams["block_offsets"][i : i + 2].tolist()
+    starts = streams["row_offsets"][lo : hi + 1].tolist()
+    rows, dists = streams["rows"], streams["dists"]
+    entries = [
+        (key, block_id, threshold, rows[start:end], dists[start:end])
+        for key, block_id, threshold, start, end in zip(
+            streams["keys"][lo:hi].tolist(),
+            streams["block_ids"][lo:hi].tolist(),
+            streams["thresholds"][lo:hi].tolist(),
+            starts[:-1],
+            starts[1:],
+        )
+    ]
+    return entries, int(streams["cursors"][i]), streams["bounds"][i]
 
 
 class QueryMerge:
@@ -170,21 +194,16 @@ class QueryMerge:
         return self.t_gap is not None
 
     # -- the replay -----------------------------------------------------
-    def _below(self, threshold: float) -> int:
-        return sum(
-            int(np.count_nonzero(part < threshold)) for part in self._dist_parts
-        )
-
-    def _admit(self, stream: ShardStream) -> None:
-        __, __, __, rows, dists = stream.entries[stream.pos]
-        stream.pos += 1
-        self._row_parts.append(rows)
-        self._dist_parts.append(dists)
-        self.gathered += int(rows.shape[0])
-        self.admitted += 1
-
     def advance(self) -> dict[int, tuple[int, int, float]] | None:
         """Admit blocks until answered (``None``) or a resume is needed.
+
+        The fetched blocks of every stream, merged on the global
+        ``(MINDIST, block id)`` key up to the smallest unfetched bound,
+        are the next stretch of the global scan; the drain kernel's
+        stop rule (:func:`~repro.knn.drain.first_stop`) runs over that
+        stretch in one pass.  Past a dead shard's bound the replay turns
+        partial: it drains live blocks strictly below the gap threshold
+        only.
 
         Returns:
             ``None`` when the query is answered (exact or partial), or
@@ -193,83 +212,64 @@ class QueryMerge:
             the replay can continue.
         """
         while True:
-            head = starved = gap = None
-            head_stream = None
-            for stream in self.streams.values():
-                if stream.pos < len(stream.entries):
-                    entry = stream.entries[stream.pos]
-                    key = (entry[0], entry[1])
-                    if head is None or key < head:
-                        head, head_stream = key, stream
-                elif stream.bound is not None:
-                    key = (stream.bound[0], stream.bound[1])
-                    if stream.dead:
-                        if gap is None or key < gap:
-                            gap = key
-                    elif starved is None or key < starved:
-                        starved = key
-            if self.t_gap is not None:
-                # Partial mode: drain live blocks strictly below the
-                # gap; the dead shard's rows all lie at or beyond it.
-                if self._below(self.t_gap) >= self.k:
-                    # k rows verified below the gap: the prefix is the
-                    # full (exact-rows) answer; stop draining.
-                    self.finished = True
-                    return None
-                nxt = min(x for x in (head, starved) if x is not None) if (
-                    head is not None or starved is not None
-                ) else None
-                if nxt is None or nxt[0] >= self.t_gap:
-                    self.finished = True
-                    return None
-                if head is not None and head == nxt:
-                    self._admit(head_stream)
-                    continue
-                return self._resume_requests(min_mindist=self.t_gap)
-            candidates = [x for x in (head, starved, gap) if x is not None]
-            if not candidates:
-                # Every stream spent: the index is exhausted.
+            streams = self.streams.values()
+            # Past a gap only live bounds cut the stretch: dead rows
+            # beyond the gap are unverifiable whatever their order.
+            bounds = [
+                s for s in streams
+                if s.bound is not None and (self.t_gap is None or not s.dead)
+            ]
+            nxt = min(bounds, key=lambda s: s.bound[:2], default=None)
+            stretch = sorted(
+                (entry[:2], entry, s)
+                for s in streams
+                for entry in s.entries[s.pos:]
+                if nxt is None or entry[:2] < nxt.bound[:2]
+            )
+            steps = len(stretch) + (nxt is not None)
+            sizes = [self.gathered] + [entry[3].shape[0] for __, entry, __ in stretch]
+            dists = np.concatenate(
+                [_NO_DISTS, *self._dist_parts, *(entry[4] for __, entry, __ in stretch)]
+            )
+            avail = np.repeat(np.arange(len(sizes)), sizes)
+            if self.t_gap is None:
+                thresholds = [entry[2] for __, entry, __ in stretch]
+                if nxt is not None:
+                    thresholds.append(nxt.bound[2])
+                stop = first_stop(dists, np.array(thresholds, dtype=float), self.k, avail)
+            else:
+                # Partial: drain live blocks strictly below the gap (the
+                # dead shard's rows all lie at or beyond it) until k
+                # rows are verified there.
+                keys = [entry[0] for __, entry, __ in stretch]
+                if nxt is not None:
+                    keys.append(nxt.bound[0])
+                stop = first_stop(dists, np.full(steps, self.t_gap), self.k, avail)
+                beyond = next((j for j, key in enumerate(keys) if key >= self.t_gap), None)
+                if beyond is not None and (stop is None or beyond < stop):
+                    stop = beyond
+            for __, entry, stream in stretch[:stop]:
+                stream.pos += 1
+                self._row_parts.append(entry[3])
+                self._dist_parts.append(entry[4])
+                self.gathered += int(entry[3].shape[0])
+                self.admitted += 1
+            if stop is not None or nxt is None:
+                # Answered, or every stream spent: the index is exhausted.
                 self.finished = True
                 return None
-            nxt = min(candidates)
-            if self.gathered >= self.k:
-                # The browser's stop rule, on the scalar threshold of
-                # whichever block (or bound) comes next globally.
-                threshold = self._threshold_of(nxt)
-                if self._below(threshold) >= self.k:
-                    self.finished = True
-                    return None
-            if gap is not None and nxt == gap:
+            if nxt.dead:
                 # The next global block is unreachable: coverage gap.
-                self.t_gap = self._threshold_of(gap)
+                self.t_gap = float(nxt.bound[2])
                 self.gap_shards = tuple(
-                    sorted(
-                        s.shard_id
-                        for s in self.streams.values()
-                        if s.dead and s.bound is not None
-                    )
+                    sorted(s.shard_id for s in streams if s.dead and s.bound is not None)
                 )
-                continue
-            if head is not None and nxt == head:
-                self._admit(head_stream)
                 continue
             # A live stream's bound gates the merge: fetch more blocks
             # (from every starved live stream, batching round trips).
-            return self._resume_requests(min_points=self.k)
-
-    def _threshold_of(self, key: tuple[float, int]) -> float:
-        """The scalar stop-test threshold of the stream head/bound at ``key``."""
-        for stream in self.streams.values():
-            if stream.pos < len(stream.entries):
-                entry = stream.entries[stream.pos]
-                if (entry[0], entry[1]) == key:
-                    return float(entry[2])
-            if stream.bound is not None and (
-                stream.bound[0],
-                stream.bound[1],
-            ) == key:
-                return float(stream.bound[2])
-        raise KeyError(f"no stream at merge key {key!r}")  # pragma: no cover
+            if self.t_gap is None:
+                return self._resume_requests(min_points=self.k)
+            return self._resume_requests(min_mindist=self.t_gap)
 
     def _resume_requests(
         self, *, min_points: int = 0, min_mindist: float = -np.inf
@@ -302,12 +302,10 @@ class QueryMerge:
             return np.empty(0, dtype=np.int64), self.admitted, 0
         rows = np.concatenate(self._row_parts)
         dists = np.concatenate(self._dist_parts)
-        order = np.argsort(dists, kind="stable")
         if self.t_gap is not None:
-            verified = order[dists[order] < self.t_gap]
-            take = verified[: self.k]
-        else:
-            take = order[: self.k]
+            verified = dists < self.t_gap
+            rows, dists = rows[verified], dists[verified]
+        take = smallest(dists, self.k)
         return rows[take], self.admitted, int(take.shape[0])
 
 

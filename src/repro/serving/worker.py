@@ -29,7 +29,9 @@ import time
 
 import numpy as np
 
+from repro.geometry import Point, mindist_points_rects
 from repro.geometry.backends import set_backend
+from repro.knn.drain import BlockPointsView, scalar_thresholds, smallest, take
 from repro.resilience.fallback import budget_check
 from repro.resilience.faultinject import WorkerFaultPlan
 
@@ -93,7 +95,6 @@ def _serve_shard_chunk(payload: dict) -> tuple[list, list]:
             between serving slices.
     """
     from repro.engine.queries import KnnSelectQuery
-    from repro.geometry import Point
 
     engine = _WORKER_STATE["engine"]
     fault_plan = _WORKER_STATE["fault_plan"]
@@ -146,23 +147,20 @@ def _init_data_shard_worker(
 
     set_backend(backend)
     snapshot = payload["snapshot"]
-    rows = np.asarray(payload["rows"], dtype=np.int64)
-    points = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
+    offsets = np.zeros(snapshot.n_blocks + 1, dtype=np.int64)
+    np.cumsum(snapshot.counts, out=offsets[1:])
+    view = BlockPointsView(payload["points"], offsets, payload["rows"])
     gpos = np.asarray(payload["gpos"], dtype=np.int64)
-    starts = np.zeros(snapshot.n_blocks + 1, dtype=np.int64)
-    np.cumsum(snapshot.counts, out=starts[1:])
     stats = None
-    if points.shape[0]:
+    if view.rows.shape[0]:
         stats = StatisticsManager(**payload.get("manager_kwargs", {}))
         stats.register(
-            SpatialTable(SHARD_TABLE, points, capacity=int(payload["capacity"]))
+            SpatialTable(SHARD_TABLE, payload["points"], capacity=int(payload["capacity"]))
         )
     _WORKER_STATE.clear()
     _WORKER_STATE["snapshot"] = snapshot
-    _WORKER_STATE["rows"] = rows
-    _WORKER_STATE["points"] = points
+    _WORKER_STATE["view"] = view
     _WORKER_STATE["gpos"] = gpos
-    _WORKER_STATE["starts"] = starts
     _WORKER_STATE["stats"] = stats
     _WORKER_STATE["shard_id"] = int(shard_id)
     _WORKER_STATE["incarnation"] = int(incarnation)
@@ -173,33 +171,85 @@ def _init_data_shard_worker(
         + snapshot.counts.nbytes
         + snapshot.centers.nbytes
         + snapshot.block_ids.nbytes
-        + rows.nbytes
-        + points.nbytes
+        + view.rows.nbytes
+        + view.xy.nbytes
         + gpos.nbytes
     )
 
 
-def _stream_entries(stream, query_point, raw_entries) -> list:
-    """Wire-format stream entries: attach each block's rows + distances.
+def _stream_rounds(
+    pts: np.ndarray,
+    cursors: np.ndarray,
+    min_rows: np.ndarray,
+    min_keys: np.ndarray,
+    start: float,
+    budget: float | None,
+    what: str,
+) -> dict:
+    """Serve each query's block stream from its cursor (open/resume).
 
-    ``(mindist, global block id, scalar threshold, row_ids, dists)``
-    per entry — the distances are computed here, in the worker, over
-    the block's rows in canonical order, so the coordinator's merge
-    concatenation reproduces the unsharded browser's gather
-    bit-for-bit.
+    One columnar reply for the batch (cut per query by
+    :func:`~repro.serving.merge.query_stream`): the emitted blocks'
+    vector MINDIST ``keys``, ``block_ids`` and scalar ``thresholds``,
+    their rows and distances, each query's next ``cursors``, and its
+    ``bounds`` — the next block's ``(key, block id, threshold)``, or
+    ``None`` once spent.  The same floats as the unsharded drain.
     """
-    rows = _WORKER_STATE["rows"]
-    points = _WORKER_STATE["points"]
-    starts = _WORKER_STATE["starts"]
-    out = []
-    for mindist, block_id, threshold, local_row in raw_entries:
-        lo, hi = int(starts[local_row]), int(starts[local_row + 1])
-        block_pts = points[lo:hi]
-        dists = np.hypot(
-            block_pts[:, 0] - query_point.x, block_pts[:, 1] - query_point.y
+    snapshot = _WORKER_STATE["snapshot"]
+    view = _WORKER_STATE["view"]
+    emitted: list[np.ndarray] = []
+    emitted_keys: list[np.ndarray] = []
+    thresholds: list[float] = []
+    bounds: list[tuple | None] = []
+    for i in range(pts.shape[0]):
+        if i % BUDGET_SLICE == 0:
+            budget_check(start, budget, what)
+        # One MINDIST row per query (row-for-row identical to the
+        # executor's tableau) keeps the worker's transient memory flat.
+        keys = mindist_points_rects(pts[i : i + 1], snapshot.rects)[0]
+        blocks, after = take(
+            keys,
+            snapshot.counts,
+            int(cursors[i]),
+            min_rows=int(min_rows[i]),
+            min_key=float(min_keys[i]),
+            tie_order=snapshot.tie_order,
         )
-        out.append((mindist, block_id, threshold, rows[lo:hi], dists))
-    return out
+        point = Point(float(pts[i, 0]), float(pts[i, 1]))
+        stops = blocks if after is None else np.append(blocks, after)
+        floats = scalar_thresholds(point, snapshot.rects[stops]).tolist()
+        emitted.append(blocks)
+        emitted_keys.append(keys[blocks])
+        thresholds.extend(floats[: blocks.shape[0]])
+        bounds.append(
+            None
+            if after is None
+            else (float(keys[after]), int(snapshot.block_ids[after]), floats[-1])
+        )
+    sizes = np.array([blocks.shape[0] for blocks in emitted], dtype=np.int64)
+    blocks = np.concatenate([np.empty(0, dtype=np.int64), *emitted])
+    counts = snapshot.counts[blocks]
+    entries = view.entries(blocks)
+    # Every query's distances in one elementwise pass.
+    owner = np.repeat(np.repeat(np.arange(pts.shape[0]), sizes), counts)
+    dists = np.hypot(
+        view.xy[0][entries] - pts[owner, 0], view.xy[1][entries] - pts[owner, 1]
+    )
+    block_offsets = np.zeros(pts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=block_offsets[1:])
+    row_offsets = np.zeros(blocks.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_offsets[1:])
+    return {
+        "keys": np.concatenate([np.empty(0), *emitted_keys]),
+        "block_ids": snapshot.block_ids[blocks],
+        "thresholds": np.array(thresholds, dtype=float),
+        "block_offsets": block_offsets,
+        "row_offsets": row_offsets,
+        "rows": view.rows[entries],
+        "dists": dists,
+        "cursors": np.asarray(cursors, dtype=np.int64) + sizes,
+        "bounds": bounds,
+    }
 
 
 def _serve_data_shard_chunk(payload: dict) -> dict:
@@ -223,9 +273,6 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
     ``batches_served`` counts rounds — which is how the chaos suite
     kills a data shard mid-stream.
     """
-    from repro.geometry import Point
-    from repro.knn.distance_browsing import SnapshotBlockStream
-
     fault_plan = _WORKER_STATE["fault_plan"]
     batch_index = _WORKER_STATE["batches_served"]
     _WORKER_STATE["batches_served"] = batch_index + 1
@@ -233,30 +280,20 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
         fault_plan.apply(
             _WORKER_STATE["shard_id"], batch_index, _WORKER_STATE["incarnation"]
         )
-    snapshot = _WORKER_STATE["snapshot"]
     round_kind = payload["round"]
     pts = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
     ks = np.asarray(payload["ks"], dtype=np.int64).reshape(-1)
+    m = pts.shape[0]
     budget = payload.get("budget_seconds")
     start = time.perf_counter()
     if round_kind == "open":
-        streams = []
-        for i in range(pts.shape[0]):
-            if i % BUDGET_SLICE == 0:
-                budget_check(start, budget, "shard stream open")
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
-            stream = SnapshotBlockStream(snapshot, point)
-            entries, cursor = stream.take(0, min_points=int(ks[i]))
-            streams.append(
-                (_stream_entries(stream, point, entries), cursor, stream.bound(cursor))
-            )
+        streams = _stream_rounds(
+            pts, np.zeros(m, dtype=np.int64), ks, np.full(m, -np.inf), start, budget,
+            "shard stream open",
+        )
         stats = _WORKER_STATE["stats"]
         if stats is None:
-            estimates = (
-                [0.0] * pts.shape[0],
-                [""] * pts.shape[0],
-                [False] * pts.shape[0],
-            )
+            estimates = ([0.0] * m, [""] * m, [False] * m)
         else:
             costs, tiers, degraded = stats.estimate_select_provenance(
                 SHARD_TABLE, pts, ks
@@ -264,39 +301,27 @@ def _serve_data_shard_chunk(payload: dict) -> dict:
             estimates = ([float(c) for c in costs], tiers, degraded)
         return {"streams": streams, "estimates": estimates}
     if round_kind == "resume":
-        cursors = np.asarray(payload["cursors"], dtype=np.int64).reshape(-1)
-        min_points = np.asarray(payload["min_points"], dtype=np.int64).reshape(-1)
-        min_mindists = np.asarray(payload["min_mindists"], dtype=float).reshape(-1)
-        streams = []
-        for i in range(pts.shape[0]):
-            if i % BUDGET_SLICE == 0:
-                budget_check(start, budget, "shard stream resume")
-            point = Point(float(pts[i, 0]), float(pts[i, 1]))
-            stream = SnapshotBlockStream(snapshot, point)
-            entries, cursor = stream.take(
-                int(cursors[i]),
-                min_points=int(min_points[i]),
-                min_mindist=float(min_mindists[i]),
-            )
-            streams.append(
-                (_stream_entries(stream, point, entries), cursor, stream.bound(cursor))
-            )
+        streams = _stream_rounds(
+            pts,
+            np.asarray(payload["cursors"], dtype=np.int64).reshape(-1),
+            np.asarray(payload["min_points"], dtype=np.int64).reshape(-1),
+            np.asarray(payload["min_mindists"], dtype=float).reshape(-1),
+            start,
+            budget,
+            "shard stream resume",
+        )
         return {"streams": streams}
     if round_kind == "scan":
-        rows = _WORKER_STATE["rows"]
-        points = _WORKER_STATE["points"]
+        view = _WORKER_STATE["view"]
         gpos = _WORKER_STATE["gpos"]
         topk = []
-        for i in range(pts.shape[0]):
+        for i in range(m):
             if i % BUDGET_SLICE == 0:
                 budget_check(start, budget, "shard full scan")
-            if points.shape[0] == 0:
-                empty = np.empty(0, dtype=np.int64)
-                topk.append((empty, np.empty(0, dtype=float), empty))
-                continue
-            dists = np.hypot(points[:, 0] - pts[i, 0], points[:, 1] - pts[i, 1])
-            order = np.lexsort((gpos, dists))[: int(ks[i])]
-            topk.append((rows[order], dists[order], gpos[order]))
+            dists = np.hypot(view.xy[0] - pts[i, 0], view.xy[1] - pts[i, 1])
+            # ``gpos`` ascends along the view: position ties are gpos ties.
+            order = smallest(dists, int(ks[i]))
+            topk.append((view.rows[order], dists[order], gpos[order]))
         return {"topk": topk}
     raise ValueError(f"unknown data-shard round {round_kind!r}")
 

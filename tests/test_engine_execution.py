@@ -282,3 +282,38 @@ class TestEngineApi:
         eng.register(SpatialTable("t", pts[:100], capacity=32))
         # Statistics for the replaced table are gone until next use.
         assert eng.stats.total_catalog_bytes() == 0
+
+
+# Lattice coordinates: integer and half-integer queries over a 16x16
+# integer point lattice.  Equal distances and equal block MINDISTs are
+# everywhere, so any difference in how two execution paths break ties
+# shows up as a different row order (or row set at the k boundary).
+_LATTICE_COORDS = (0.0, 0.5, 3.0, 7.5, 8.0, 11.5, 15.0)
+
+
+@pytest.mark.parametrize("capacity", [1, 4])
+def test_scalar_and_batch_agree_on_lattice_ties(capacity):
+    xs, ys = np.meshgrid(np.arange(16.0), np.arange(16.0))
+    points = np.column_stack([xs.ravel(), ys.ravel()])
+    eng = SpatialEngine(
+        StatisticsManager(max_k=256),
+        pinned_operators={"select": "incremental-knn"},
+    )
+    eng.register(SpatialTable("lattice", points, capacity=capacity))
+    queries = [
+        KnnSelectQuery("lattice", Point(x, y), k=k)
+        for x in _LATTICE_COORDS
+        for y in _LATTICE_COORDS
+        for k in (10, 40, 255)
+    ]
+    # The smallest known divergence: capacity 1, query (0, 15), k = 10
+    # (both rows at position 6 lie at distance sqrt(5)).
+    assert KnnSelectQuery("lattice", Point(0.0, 15.0), k=10) in queries
+    batch = eng.execute_batch(queries)
+    for query, (batch_result, __) in zip(queries, batch):
+        scalar_result, __ = eng.execute(query)
+        assert scalar_result.operator == batch_result.operator == "incremental-knn"
+        assert scalar_result.blocks_scanned == batch_result.blocks_scanned, query
+        np.testing.assert_array_equal(
+            scalar_result.row_ids, batch_result.row_ids, err_msg=str(query)
+        )
