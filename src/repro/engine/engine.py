@@ -110,11 +110,11 @@ class SpatialEngine:
         Results are exactly equal — same ``row_ids`` in the same order,
         same ``blocks_scanned`` — to a loop of :meth:`execute` calls.
         Beyond the batched planning of :meth:`explain_batch`, the
-        incremental k-NN selects against one table run as a group
+        incremental k-NN selects against one table run as one group
         through
-        :func:`~repro.engine.physical.execute_incremental_knn_batch`,
-        which shares one MINDIST tableau across the group; every query
-        still drains through the same kernel as the scalar operator.
+        :func:`~repro.engine.physical.execute_incremental_knn_batch`:
+        the block drain advances all of them in lockstep rounds, and
+        the scalar operator is the same drain over a group of one.
 
         Guard failures raise before anything executes (a scalar loop
         raises the same exception, after executing the earlier queries).

@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.engine.queries import KnnJoinQuery, KnnSelectQuery, RangeQuery
 from repro.engine.table import SpatialTable
-from repro.geometry import Point, Rect, mindist_points_rects
+from repro.geometry import Point, Rect
 from repro.geometry.kernels import rect_overlap_mask
-from repro.knn.drain import drain, scalar_thresholds, smallest
+from repro.knn.drain import drain_batch, smallest
 from repro.knn.locality import locality_block_indices
 
 
@@ -140,11 +140,13 @@ class RegionPrunedKnnOperator:
 def execute_incremental_knn_batch(
     table: SpatialTable, queries: list[KnnSelectQuery], snapshot
 ) -> list[ExecutionResult]:
-    """Execute incremental k-NN selects as one group sharing one tableau.
+    """Execute incremental k-NN selects as one lockstep group.
 
-    Query by query this is ``IncrementalKnnOperator(table, q).execute()``
-    — the same drain — so ``row_ids`` (in order) and ``blocks_scanned``
-    are identical.  ``snapshot`` is the table's current
+    The group advances through the block drain's rounds together
+    (:func:`~repro.knn.drain.drain_batch`); the scalar operator is a
+    group of one, so query by query ``row_ids`` (in order) and
+    ``blocks_scanned`` equal ``IncrementalKnnOperator(table,
+    q).execute()``.  ``snapshot`` is the table's current
     :class:`~repro.index.snapshot.IndexSnapshot`, in any layout.
     """
     return _browse(table, queries, snapshot, prune=False)
@@ -169,23 +171,22 @@ def _browse(
     if snapshot is None:
         snapshot = table.count_index.snapshot
     view = table.points_view
-    pts = np.array([[q.query.x, q.query.y] for q in queries], dtype=float)
-    results: list[ExecutionResult] = []
-    for query, keys in zip(queries, mindist_points_rects(pts, snapshot.rects)):
-        point = query.query
-        entries, scanned = drain(
-            view,
-            keys,
-            point,
-            query.k,
-            lambda rows, point=point: scalar_thresholds(point, snapshot.rects[rows]),
-            slots=snapshot.block_ids,
-            tie_order=snapshot.tie_order,
-            block_mask=rect_overlap_mask(query.region, snapshot.rects) if prune else None,
-            row_filter=_row_filter(table, query),
-        )
-        results.append(ExecutionResult(name, scanned, row_ids=view.rows[entries]))
-    return results
+    entries, scanned = drain_batch(
+        view,
+        snapshot.rects,
+        np.array([[q.query.x, q.query.y] for q in queries], dtype=float),
+        [q.k for q in queries],
+        slots=snapshot.block_ids,
+        tie_order=snapshot.tie_order,
+        block_masks=(
+            [rect_overlap_mask(q.region, snapshot.rects) for q in queries] if prune else None
+        ),
+        row_filters=[_row_filter(table, q) for q in queries],
+    )
+    return [
+        ExecutionResult(name, blocks, row_ids=view.rows[rows])
+        for rows, blocks in zip(entries, scanned.tolist())
+    ]
 
 
 def _row_filter(table: SpatialTable, query: KnnSelectQuery):
@@ -314,7 +315,11 @@ class LocalityJoinOperator:
 
 
 class PerPointSelectsOperator:
-    """Execute the join as one incremental k-NN-Select per outer row."""
+    """Execute the join as one incremental k-NN-Select per outer row.
+
+    The selects run as one lockstep group through the block drain —
+    per outer row exactly ``IncrementalKnnOperator`` on the inner table.
+    """
 
     name = "per-point-selects"
 
@@ -328,17 +333,16 @@ class PerPointSelectsOperator:
     def execute(self) -> ExecutionResult:
         """Run one incremental k-NN-Select per outer row."""
         outer, inner, query = self._outer, self._inner, self._query
-        scanned = 0
-        pairs: list[tuple[int, np.ndarray]] = []
-        for row_id in range(outer.n_rows):
-            x, y = outer.points[row_id]
-            select = KnnSelectQuery(
+        selects = [
+            KnnSelectQuery(
                 table=inner.name,
-                query=Point(float(x), float(y)),
+                query=Point(x, y),
                 k=query.k,
                 predicate=query.inner_predicate,
             )
-            result = IncrementalKnnOperator(inner, select).execute()
-            scanned += result.blocks_scanned
-            pairs.append((row_id, result.row_ids))
+            for x, y in outer.points.tolist()
+        ]
+        results = _browse(inner, selects, None, prune=False)
+        scanned = sum(result.blocks_scanned for result in results)
+        pairs = [(row_id, result.row_ids) for row_id, result in enumerate(results)]
         return ExecutionResult(self.name, scanned, join_pairs=pairs)

@@ -204,8 +204,8 @@ def _stream_rounds(
     for i in range(pts.shape[0]):
         if i % BUDGET_SLICE == 0:
             budget_check(start, budget, what)
-        # One MINDIST row per query (row-for-row identical to the
-        # executor's tableau) keeps the worker's transient memory flat.
+        # One MINDIST row per query (the keys the executor's block
+        # drain orders by) keeps the worker's transient memory flat.
         keys = mindist_points_rects(pts[i : i + 1], snapshot.rects)[0]
         blocks, after = take(
             keys,
@@ -215,9 +215,8 @@ def _stream_rounds(
             min_key=float(min_keys[i]),
             tie_order=snapshot.tie_order,
         )
-        point = Point(float(pts[i, 0]), float(pts[i, 1]))
         stops = blocks if after is None else np.append(blocks, after)
-        floats = scalar_thresholds(point, snapshot.rects[stops]).tolist()
+        floats = scalar_thresholds(pts[i, 0], pts[i, 1], snapshot.rects[stops]).tolist()
         emitted.append(blocks)
         emitted_keys.append(keys[blocks])
         thresholds.extend(floats[: blocks.shape[0]])

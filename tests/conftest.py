@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import generate_osm_like, generate_uniform
 from repro.index.count_index import CountIndex
 from repro.index.quadtree import Quadtree
+
+# ``HYPOTHESIS_PROFILE=deep`` runs ten times the examples of the profile
+# Hypothesis would otherwise use.  Suites that size their budget from
+# the active profile (the differential harness's ``SETTINGS``) scale
+# with it; suites that pin a budget do not.
+settings.register_profile(
+    "deep", parent=settings.default, max_examples=10 * settings.default.max_examples
+)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(scope="session")

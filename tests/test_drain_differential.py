@@ -33,6 +33,8 @@ that leave shards empty.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,13 +53,23 @@ from repro.geometry.kernels import mindist_rects, tie_stable_argsort
 from repro.index import GridIndex, IndexSnapshot, Quadtree, RTree, as_snapshot
 from repro.index.base import Block
 from repro.knn import brute_force_knn, knn_select, select_cost, select_cost_exact
-from repro.knn.drain import first_stop, mindist_windows, smallest, take
+from repro.knn import drain as drain_module
+from repro.knn.drain import (
+    first_stop,
+    mindist_prefixes,
+    mindist_windows,
+    scalar_thresholds,
+    smallest,
+    take,
+)
 from repro.serving import worker as worker_module
 from repro.serving.merge import QueryMerge, query_stream
 from repro.serving.shards import partition_blocks, plan_shards
 
+#: Half the active Hypothesis profile's budget: 50 examples under the
+#: default profile, 500 under ``HYPOTHESIS_PROFILE=deep`` (conftest.py).
 SETTINGS = settings(
-    max_examples=50,
+    max_examples=settings.default.max_examples // 2,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -598,3 +610,242 @@ def test_stop_rule_oracle_agrees_with_browser_on_a_lattice():
             kth = float(want_d[k - 1]) if want_d.shape[0] >= k else None
             assert _stop_rule_cost(rects, q, kth) == select_cost(tree, q, k)
             assert math.isfinite(select_cost(tree, q, k))
+
+
+# ----------------------------------------------------------------------
+# The lockstep kernel: scalar thresholds, the squared-MINDIST prefix,
+# multi-chunk batches and bounded memory
+# ----------------------------------------------------------------------
+#: Coordinates with both zeros, lattice values and arbitrary floats.
+signed_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.integers(-6, 6).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def threshold_cases(draw):
+    """``(points, rects)``: points inside, on edges and corners, or apart."""
+    n = draw(st.integers(1, 12))
+    rects, points = [], []
+    for __ in range(n):
+        x0, x1 = sorted(draw(st.tuples(signed_coords, signed_coords)))
+        y0, y1 = sorted(draw(st.tuples(signed_coords, signed_coords)))
+        if draw(st.booleans()):
+            x1 = x0  # zero-area (a segment, or a point below)
+        if draw(st.booleans()):
+            y1 = y0
+        rects.append((x0, y0, x1, y1))
+        # The focal coordinates: a bound (edges, corners; ``-0.0``
+        # against a ``0.0`` bound), the middle (inside), or anywhere.
+        px = draw(st.sampled_from([x0, x1, (x0 + x1) / 2, -x0, None]))
+        py = draw(st.sampled_from([y0, y1, (y0 + y1) / 2, -y1, None]))
+        points.append((
+            draw(signed_coords) if px is None else px,
+            draw(signed_coords) if py is None else py,
+        ))
+    return np.array(points, dtype=float), np.array(rects, dtype=float)
+
+
+@SETTINGS
+@given(threshold_cases())
+def test_scalar_thresholds_are_the_per_rect_scalar_floats(case):
+    points, rects = case
+    loop = [mindist_point_rect(Point(*p), Rect(*r)) for p, r in zip(points, rects)]
+    got = scalar_thresholds(points[:, 0], points[:, 1], rects)
+    np.testing.assert_array_equal(got.view(np.int64), np.array(loop).view(np.int64))
+    # One focal point against every rect.
+    p = Point(*points[0])
+    loop = [mindist_point_rect(p, Rect(*r)) for r in rects]
+    got = scalar_thresholds(p.x, p.y, rects)
+    np.testing.assert_array_equal(got.view(np.int64), np.array(loop).view(np.int64))
+
+
+def _near_tie_rects(rng: np.random.Generator, center, n: int) -> np.ndarray:
+    """Point rects on a circle around ``center``: squares and ``hypot`` disagree."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    xs = center[0] + 1.7 * np.cos(theta)
+    ys = center[1] + 1.7 * np.sin(theta)
+    return np.column_stack([xs, ys, xs, ys])
+
+
+def test_near_tie_rects_order_differently_by_square_and_hypot():
+    # The prefix property below leans on these inputs: they must hold
+    # pairs whose squared-distance order contradicts their key order.
+    rng = np.random.default_rng(0)
+    center = (3.0, -2.0)
+    rects = _near_tie_rects(rng, center, 200)
+    dx, dy = rects[:, 0] - center[0], rects[:, 1] - center[1]
+    sq, keys = dx * dx + dy * dy, mindist_rects(center, rects)
+    i, j = np.triu_indices(rects.shape[0], 1)
+    assert np.any((sq[i] < sq[j]) & (keys[i] > keys[j]))
+
+
+@st.composite
+def prefix_cases(draw):
+    """``(rects, points, sizes, tie_order, masks, chunk)`` for the prefix pass."""
+    kind = draw(st.sampled_from(["lattice", "degenerate", "near-tie"]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    m = draw(st.integers(1, 12))
+    if kind == "near-tie":
+        center = (float(rng.integers(-4, 5)), float(rng.integers(-4, 5)))
+        rects = _near_tie_rects(rng, center, draw(st.integers(2, 300)))
+        points = np.tile(center, (m, 1))
+        points[1:] += rng.integers(-1, 2, (m - 1, 2)) * 0.5
+    else:
+        n = draw(st.integers(1, 300))
+        lo = rng.integers(0, 8, (n, 2)).astype(float)
+        extent = rng.integers(0, 3, (n, 2)).astype(float)
+        if kind == "degenerate":
+            extent *= rng.random((n, 2)) < 0.3  # zero-width/height and point rects
+        rects = np.column_stack([lo, lo + extent])
+        points = rng.integers(-2, 20, (m, 2)) / 2.0
+    n = rects.shape[0]
+    tie_order = rng.permutation(n) if draw(st.booleans()) else None
+    masks = None
+    if draw(st.booleans()):
+        masks = [None if rng.random() < 0.3 else rng.random(n) < 0.6 for __ in range(m)]
+    limits = [n if mask is None else int(mask.sum()) for mask in masks or [None] * m]
+    sizes = np.array([rng.integers(0, limit + 1) for limit in limits], dtype=np.int64)
+    chunk = draw(st.sampled_from([1, n, 3 * n, 1 << 14]))
+    return rects, points, sizes, tie_order, masks, chunk
+
+
+@SETTINGS
+@given(prefix_cases())
+def test_mindist_prefixes_are_prefixes_of_the_tie_stable_order(case):
+    rects, points, sizes, tie_order, masks, chunk = case
+    with mock.patch.object(drain_module, "_MINDIST_CHUNK", chunk):
+        blocks, offsets = mindist_prefixes(
+            rects, points, sizes, tie_order=tie_order, masks=masks
+        )
+    np.testing.assert_array_equal(np.diff(offsets), sizes)
+    for i, point in enumerate(points):
+        keys = mindist_rects(point, rects)
+        if masks is not None and masks[i] is not None:
+            keys = np.where(masks[i], keys, np.inf)
+        full = tie_stable_argsort(keys[None, :], tie_order)[0]
+        np.testing.assert_array_equal(blocks[offsets[i] : offsets[i + 1]], full[: sizes[i]])
+
+
+def _multi_chunk_engine(pts: np.ndarray, layout: str) -> SpatialEngine:
+    """Two copies of one table: ``t`` browses plainly, ``u`` prunes by region."""
+    engine = SpatialEngine(
+        StatisticsManager(max_k=32, snapshot_layout=layout),
+        pinned_operators={"t:select": "incremental-knn", "u:select": "region-pruned-knn"},
+    )
+    tags = np.arange(pts.shape[0]) % 3
+    engine.register(SpatialTable("t", pts, {"tag": tags}, capacity=2))
+    engine.register(SpatialTable("u", pts, {"tag": tags}, capacity=2))
+    return engine
+
+
+def _check_mixed_batch(engine: SpatialEngine, specs) -> None:
+    """Run ``(table, point, k, predicated, region)`` specs as one batch."""
+    pts = engine.stats.table("t").points
+    tags = engine.stats.table("t").column_values("tag")
+    queries = [
+        KnnSelectQuery(
+            name, q, k=k, predicate=column("tag") != 1 if predicated else None, region=region
+        )
+        for name, q, k, predicated, region in specs
+    ]
+    for query, (result, explanation) in zip(queries, engine.execute_batch(queries)):
+        table = engine.stats.table(query.table)
+        q, k, region = query.query, query.k, query.region
+        qualifying = _in_region(pts, region) & (
+            tags != 1 if query.predicate is not None else True
+        )
+        plain = query.predicate is None and region is None
+        _assert_answer(table, q, k, result, None if plain else qualifying)
+        pruned = query.table == "u" and region is not None
+        if query.table == "t" or pruned:
+            assert explanation.chosen == ("region-pruned-knn" if pruned else "incremental-knn")
+        if explanation.chosen == "filter-then-knn":
+            assert result.blocks_scanned == len(table.index.blocks)
+        elif plain:
+            assert result.blocks_scanned == knn_select(table.index, q, k)[1]
+            assert result.blocks_scanned == select_cost(table.index, q, k)
+        else:
+            want = _predicated_cost(table, q, k, qualifying, region if pruned else None)
+            assert result.blocks_scanned == want
+
+
+@SETTINGS
+@given(
+    point_sets(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["t", "u"]),
+            half_lattice,
+            half_lattice,
+            st.integers(0, 10**6),
+            st.booleans(),
+            st.one_of(st.none(), regions()),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    st.sampled_from(["canonical", "hilbert"]),
+    st.sampled_from([1, 7, 40]),
+)
+def test_execute_batch_over_many_chunks_matches_oracles(pts, specs, layout, chunk):
+    # Chunks of a few MINDIST rows split every batch into many chunks;
+    # k runs over 1..n+5, so the group's queries stop in different
+    # rounds and some exhaust the table.
+    n = pts.shape[0]
+    engine = _multi_chunk_engine(pts, layout)
+    specs = [
+        (name, Point(x, y), 1 + draw % (n + 5), predicated, region)
+        for name, x, y, draw, predicated, region in specs
+    ]
+    with mock.patch.object(drain_module, "_MINDIST_CHUNK", chunk):
+        _check_mixed_batch(engine, specs)
+
+
+@pytest.mark.parametrize("layout", ["canonical", "hilbert"])
+def test_execute_batch_over_many_chunks_on_hundreds_of_blocks(layout):
+    xs, ys = np.meshgrid(np.arange(30.0), np.arange(30.0))
+    engine = _multi_chunk_engine(np.column_stack([xs.ravel(), ys.ravel()]), layout)
+    n = engine.stats.table("t").n_rows
+    rng = np.random.default_rng(3)
+    regions_ = [None, Rect(3.0, 4.0, 17.5, 9.0), Rect(20.0, 0.0, 20.0, 29.0)]
+    specs = [
+        (
+            "tu"[i % 2],
+            Point(*(rng.integers(-4, 68, 2) / 2.0)),
+            int(k),
+            bool(i % 3 == 1),
+            regions_[i % 3],
+        )
+        for i, k in enumerate(np.unique(np.geomspace(1, n + 5, 40).astype(int)))
+    ]
+    with mock.patch.object(drain_module, "_MINDIST_CHUNK", 2_000):
+        _check_mixed_batch(engine, specs)
+
+
+def test_batched_drain_holds_no_full_mindist_matrix():
+    # The ordering keys are chunked: a large group's transient memory
+    # stays below one (queries x blocks) float64 matrix.
+    rng = np.random.default_rng(11)
+    table = SpatialTable("t", rng.uniform(0.0, 1_000.0, (12_000, 2)), capacity=4)
+    stats = StatisticsManager(max_k=32)
+    stats.register(table)
+    snapshot = stats.snapshot("t")
+    assert snapshot.n_blocks >= 2_000
+    __ = table.points_view  # built once per table, outside the measurement
+    focal = rng.uniform(0.0, 1_000.0, (2_048, 2))
+    queries = [
+        KnnSelectQuery("t", Point(x, y), k=int(k))
+        for (x, y), k in zip(focal.tolist(), rng.integers(1, 17, 2_048))
+    ]
+    tracemalloc.start()
+    try:
+        results = execute_incremental_knn_batch(table, queries, snapshot)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(queries)
+    assert peak < len(queries) * snapshot.n_blocks * 8
